@@ -29,13 +29,16 @@ fn main() {
     for column in SyntheticColumn::all() {
         let (values, constant) = column.generate_select_input(args.elements, args.seed);
         let max = values.iter().copied().max().unwrap_or(0);
-        let formats = Format::paper_formats(max);
+        // The input holds values; the output holds positions, whose static
+        // BP width is fixed by the position domain `0..elements`.
+        let input_formats = Format::paper_formats(max);
+        let output_formats = Format::paper_formats(args.elements.saturating_sub(1) as u64);
         let uncompressed = Column::from_slice(&values);
         let mut fastest: Option<(Duration, String)> = None;
         let mut baseline = Duration::ZERO;
-        for input_format in &formats {
+        for input_format in &input_formats {
             let input = uncompressed.to_format(input_format);
-            for output_format in &formats {
+            for output_format in &output_formats {
                 let settings = ExecSettings {
                     style: ProcessingStyle::Vectorized,
                     degree: if input_format.is_compressed() || output_format.is_compressed() {

@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use morph_bench::{fmt_mib, fmt_ms, print_header, print_row, HarnessArgs};
+use morph_bench::{fmt_mib, fmt_ms, print_header, print_row, verdict, HarnessArgs};
 use morph_compression::Format;
 use morph_storage::datagen::SyntheticColumn;
 use morph_storage::Column;
@@ -31,9 +31,11 @@ struct Config {
     degree: IntegrationDegree,
 }
 
+/// Run the query once over the base columns `x_base` and `y_base`, already
+/// in the configuration's base format: base compression is not query time.
 fn run_simple_query(
-    x: &Column,
-    y: &Column,
+    x_base: &Column,
+    y_base: &Column,
     constant: u64,
     config: &Config,
 ) -> (u64, ExecutionContext, Duration) {
@@ -42,17 +44,15 @@ fn run_simple_query(
         ..ExecSettings::default()
     };
     let mut ctx = ExecutionContext::new(settings.clone(), FormatConfig::uncompressed());
+    ctx.record_base("X", x_base);
+    ctx.record_base("Y", y_base);
     let start = Instant::now();
-    let x_base = x.to_format(&config.base);
-    let y_base = y.to_format(&config.base);
-    ctx.record_base("X", &x_base);
-    ctx.record_base("Y", &y_base);
     let positions = ctx.time("select", || {
-        select(CmpOp::Eq, &x_base, constant, &config.positions, &settings)
+        select(CmpOp::Eq, x_base, constant, &config.positions, &settings)
     });
     ctx.record_intermediate("X'", &positions);
     let projected = ctx.time("project", || {
-        project(&y_base, &positions, &config.projected, &settings)
+        project(y_base, &positions, &config.projected, &settings)
     });
     ctx.record_intermediate("Y'", &projected);
     let sum = ctx.time("sum", || agg_sum(&projected, &settings));
@@ -119,7 +119,13 @@ fn main() {
         "runtime_ms",
         "sum",
     ]);
+    // Summed over the cases: the uncompressed configuration, and per case
+    // the best configuration that compresses base columns and
+    // intermediates, as (footprint bytes, runtime seconds).
+    let mut uncompressed = (0.0, 0.0);
+    let mut compressed = (0.0, 0.0);
     for (case, x_col, y_col) in cases {
+        let mut best = (f64::INFINITY, f64::INFINITY);
         let (x_values, constant) = x_col.generate_select_input(args.elements, args.seed);
         let y_values = y_col.generate(args.elements, args.seed + 1);
         let x = Column::from_slice(&x_values);
@@ -150,10 +156,12 @@ fn main() {
                 },
                 degree: config.degree,
             };
+            let x_base = x.to_format(&fitted.base);
+            let y_base = y.to_format(&fitted.base);
             let mut total_runtime = Duration::ZERO;
             let mut outcome = None;
             for _ in 0..args.runs.max(1) {
-                let (sum, ctx, elapsed) = run_simple_query(&x, &y, constant, &fitted);
+                let (sum, ctx, elapsed) = run_simple_query(&x_base, &y_base, constant, &fitted);
                 total_runtime += elapsed;
                 outcome = Some((sum, ctx));
             }
@@ -169,6 +177,14 @@ fn main() {
                     .map(|r| r.bytes)
                     .unwrap_or(0)
             };
+            let mean = total_runtime / args.runs.max(1) as u32;
+            let measured = (ctx.total_footprint_bytes() as f64, mean.as_secs_f64());
+            if !fitted.base.is_compressed() {
+                uncompressed.0 += measured.0;
+                uncompressed.1 += measured.1;
+            } else if fitted.positions.is_compressed() && fitted.projected.is_compressed() {
+                best = (best.0.min(measured.0), best.1.min(measured.1));
+            }
             print_row(&[
                 case.to_string(),
                 fitted.label.to_string(),
@@ -177,16 +193,22 @@ fn main() {
                 fmt_mib(size_of("X'")),
                 fmt_mib(size_of("Y'")),
                 fmt_mib(ctx.total_footprint_bytes()),
-                fmt_ms(total_runtime / args.runs.max(1) as u32),
+                fmt_ms(mean),
                 sum.to_string(),
             ]);
         }
+        compressed.0 += best.0;
+        compressed.1 += best.1;
         println!();
     }
+    let claim = "compressing base columns and intermediates shrinks the";
     println!(
-        "summary: compressing base columns AND intermediates shrinks both footprint and runtime;"
+        "{}",
+        verdict(&format!("{claim} footprint"), compressed.0, uncompressed.0)
     );
     println!(
-        "         the best intermediate format depends on the case (cf. Figure 6 of the paper)."
+        "{}",
+        verdict(&format!("{claim} runtime"), compressed.1, uncompressed.1)
     );
+    println!("         (best such configuration per case vs. uncompressed, summed over the cases)");
 }

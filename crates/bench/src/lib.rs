@@ -719,6 +719,19 @@ pub fn merge_server_section(document: &str, section: &str) -> String {
     merge_tail_section(document, "server", section)
 }
 
+/// The `summary:` verdict line of a figure binary for a claim that
+/// `measured` is lower than `baseline`, computed from the binary's own
+/// totals: "reproduced" iff the ratio `measured / baseline` is below 1.
+pub fn verdict(claim: &str, measured: f64, baseline: f64) -> String {
+    let ratio = measured / baseline.max(f64::MIN_POSITIVE);
+    let outcome = if ratio < 1.0 {
+        "reproduced"
+    } else {
+        "not reproduced"
+    };
+    format!("summary: {claim}: {outcome} (ratio {ratio:.3})")
+}
+
 /// Print a CSV header row.
 pub fn print_header(columns: &[&str]) {
     println!("{}", columns.join(","));
@@ -733,6 +746,19 @@ pub fn print_row(values: &[String]) {
 mod tests {
     use super::*;
     use morph_ssb::dbgen;
+
+    #[test]
+    fn verdict_follows_the_measured_ratio() {
+        assert_eq!(
+            verdict("x is faster", 0.5, 2.0),
+            "summary: x is faster: reproduced (ratio 0.250)"
+        );
+        assert_eq!(
+            verdict("x is faster", 3.0, 2.0),
+            "summary: x is faster: not reproduced (ratio 1.500)"
+        );
+        assert!(verdict("x is faster", 1.0, 1.0).contains("not reproduced"));
+    }
 
     #[test]
     fn default_args_are_sensible() {

@@ -1,4 +1,4 @@
-//! Join operators: hash equi-join and semi-join.
+//! Join operators: equi-join and semi-join.
 //!
 //! The SSB queries are star joins: the (filtered) dimension tables are joined
 //! to the fact table via foreign keys.  In the operator-at-a-time model these
@@ -11,59 +11,51 @@
 //!   match — which is all the SSB plans need when a dimension is used purely
 //!   as a filter.
 //!
-//! The hash table is always built on the *build* (second) input, which in a
-//! star join is the filtered dimension-key column and therefore small; the
-//! probe side is streamed chunk-wise, so the fact-table key column is never
-//! materialised uncompressed (DP3).  Keys are compared by value, which is
-//! correct for dictionary-encoded data because MorphStore assumes "an
-//! individual dictionary per domain" (Section 3.1): both join sides of an SSB
-//! join refer to the same key domain.
-
-use std::collections::HashMap;
+//! Both operators index the *build* (second) input once, which in a star
+//! join is the (filtered) dimension-key column and therefore small, as a
+//! [key index](crate::ops::key_index): a table addressed by `key − min`
+//! when the build's key range is dense, a hash table otherwise.  The probe
+//! side is streamed chunk-wise, so the fact-table key column is never
+//! materialised uncompressed (DP3); each decoded chunk is filtered by the
+//! index into a scratch buffer that is appended to the output builder as a
+//! whole.  Keys are compared by value, which is correct for
+//! dictionary-encoded data because MorphStore assumes "an individual
+//! dictionary per domain" (Section 3.1): both join sides of an SSB join
+//! refer to the same key domain.
 
 use morph_compression::Format;
 use morph_storage::{Column, ColumnBuilder};
 
-use crate::exec::{ExecSettings, IntegrationDegree};
+use crate::exec::ExecSettings;
+use crate::ops::key_index::{KeyPositions, KeySet};
+use crate::ops::partitioned::{effective_output_format, semi_join_part};
 
-/// Hash equi-join of two key columns.
+/// Equi-join of two key columns.
 ///
 /// Returns `(probe_positions, build_positions)`: for every pair `(i, j)` with
 /// `probe[i] == build[j]`, position `i` is appended to the first output and
-/// `j` to the second, in probe order.  `out_formats` are the formats of the
-/// two output columns (ignored for the purely uncompressed degree).
+/// `j` to the second, in probe order and, per probe position, in ascending
+/// build order.  `out_formats` are the formats of the two output columns
+/// (ignored for the purely uncompressed degree).
 pub fn join(
     probe: &Column,
     build: &Column,
     out_formats: (&Format, &Format),
     settings: &ExecSettings,
 ) -> (Column, Column) {
-    // Build phase: value -> positions in the build column.
-    let mut table: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut build_pos = 0u64;
-    build.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        for &value in chunk {
-            table.entry(value).or_default().push(build_pos);
-            build_pos += 1;
-        }
-    });
-    // Probe phase.
-    let uncompressed = settings.degree == IntegrationDegree::PurelyUncompressed;
-    let mut probe_out = OutCol::new(*out_formats.0, uncompressed);
-    let mut build_out = OutCol::new(*out_formats.1, uncompressed);
-    let mut probe_pos = 0u64;
+    let index = KeyPositions::build(build);
+    let mut probe_out = ColumnBuilder::new(effective_output_format(out_formats.0, settings));
+    let mut build_out = ColumnBuilder::new(effective_output_format(out_formats.1, settings));
+    let (mut probe_hits, mut build_hits) = (Vec::new(), Vec::new());
+    let mut start = 0u64;
     probe.for_each_chunk(&mut |chunk| {
         crate::govern::checkpoint_chunk();
-        for &value in chunk {
-            if let Some(matches) = table.get(&value) {
-                for &b in matches {
-                    probe_out.push(probe_pos);
-                    build_out.push(b);
-                }
-            }
-            probe_pos += 1;
-        }
+        probe_hits.clear();
+        build_hits.clear();
+        index.join_chunk(chunk, start, &mut probe_hits, &mut build_hits);
+        probe_out.push_slice(&probe_hits);
+        build_out.push_slice(&build_hits);
+        start += chunk.len() as u64;
     });
     (probe_out.finish(), build_out.finish())
 }
@@ -75,53 +67,14 @@ pub fn semi_join(
     out_format: &Format,
     settings: &ExecSettings,
 ) -> Column {
-    // Shared with the morsel path, which must build the identical set.
-    let set = crate::ops::partitioned::build_semi_join_set(build);
-    let uncompressed = settings.degree == IntegrationDegree::PurelyUncompressed;
-    let mut out = OutCol::new(*out_format, uncompressed);
-    let mut pos = 0u64;
-    probe.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        for &value in chunk {
-            if set.contains(&value) {
-                out.push(pos);
-            }
-            pos += 1;
-        }
-    });
-    out.finish()
-}
-
-/// Small helper unifying "collect uncompressed" and "recompress on the fly"
-/// output sides.
-enum OutCol {
-    Plain(Vec<u64>),
-    Compressed(ColumnBuilder),
-}
-
-impl OutCol {
-    fn new(format: Format, uncompressed: bool) -> OutCol {
-        if uncompressed {
-            OutCol::Plain(Vec::new())
-        } else {
-            OutCol::Compressed(ColumnBuilder::new(format))
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, value: u64) {
-        match self {
-            OutCol::Plain(v) => v.push(value),
-            OutCol::Compressed(b) => b.push(value),
-        }
-    }
-
-    fn finish(self) -> Column {
-        match self {
-            OutCol::Plain(v) => Column::from_vec(v),
-            OutCol::Compressed(b) => b.finish(),
-        }
-    }
+    // The whole probe column as one part: the morsel path runs the same
+    // code on chunk ranges, over the identical set.
+    semi_join_part(
+        probe,
+        &KeySet::build(build),
+        0..probe.chunk_count(),
+        &effective_output_format(out_format, settings),
+    )
 }
 
 #[cfg(test)]

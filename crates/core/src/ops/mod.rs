@@ -21,6 +21,7 @@ pub mod agg;
 pub mod calc;
 pub mod group;
 pub mod join;
+pub mod key_index;
 pub mod merge;
 pub mod morph_op;
 pub mod partitioned;

@@ -24,7 +24,6 @@
 //! worker pool; the functions are public so tests (and other schedulers)
 //! can exercise the partition → process → merge pipeline directly.
 
-use std::collections::HashSet;
 use std::ops::Range;
 
 use morph_compression::{ChunkCursor, Format};
@@ -36,6 +35,7 @@ use morph_vector::ProcessingStyle;
 
 use crate::exec::{ExecSettings, IntegrationDegree};
 use crate::ops::agg::sum_chunk;
+use crate::ops::key_index::KeySet;
 use crate::ops::select::filter_chunk;
 use crate::ops::PullSide;
 use crate::CmpOp;
@@ -139,34 +139,22 @@ pub fn project_part(
     builder.finish()
 }
 
-/// The hash set of build-side values of a semi-join, built once by the
-/// coordinator and shared by all probe-side parts.
-pub fn build_semi_join_set(build: &Column) -> HashSet<u64> {
-    let mut set = HashSet::new();
-    build.for_each_chunk(&mut |chunk| {
-        crate::govern::checkpoint_chunk();
-        set.extend(chunk.iter().copied());
-    });
-    set
-}
-
 /// Partial semi-join: the global positions of the chunk range `chunks` of
-/// `probe` whose value occurs in the shared build `set` (the partitioned
-/// probe side of [`crate::semi_join`]).
+/// `probe` whose value occurs in the shared build `set`.  The serial
+/// [`crate::semi_join`] is this over all of `probe`'s chunks.
 pub fn semi_join_part(
     probe: &Column,
-    set: &HashSet<u64>,
+    set: &KeySet,
     chunks: Range<usize>,
     format: &Format,
 ) -> Column {
     let mut builder = ColumnBuilder::new(*format);
+    let mut scratch: Vec<u64> = Vec::new();
     probe.for_each_chunk_in(chunks, &mut |start, chunk| {
         crate::govern::checkpoint_chunk();
-        for (i, value) in chunk.iter().enumerate() {
-            if set.contains(value) {
-                builder.push(start + i as u64);
-            }
-        }
+        scratch.clear();
+        set.filter_chunk(chunk, start, &mut scratch);
+        builder.push_slice(&scratch);
     });
     builder.finish()
 }
@@ -417,7 +405,7 @@ mod tests {
         let build = Column::compress(&build_values, &Format::StaticBp(10));
         let settings = ExecSettings::vectorized_compressed();
         let serial = semi_join(&probe, &build, &Format::DeltaDynBp, &settings);
-        let set = build_semi_join_set(&build);
+        let set = KeySet::build(&build);
         let partials: Vec<Column> = partition(&probe, 5)
             .iter()
             .map(|r| semi_join_part(&probe, &set, r.clone(), &Format::DeltaDynBp))

@@ -59,7 +59,7 @@
 //! documented fast path degenerates to today's executor; the only extra
 //! work is the worker-count clamp.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -70,6 +70,7 @@ use morph_storage::Column;
 
 use crate::exec::{ExecSettings, ExecutionContext, FormatConfig, NodeRecords};
 use crate::fusion::{FusedPartial, FusedRegion, FusionPlan, RegionOutcome, StageKind};
+use crate::ops::key_index::KeySet;
 use crate::ops::partitioned;
 use crate::ops::project::ensure_random_access;
 use crate::plan::{
@@ -91,7 +92,7 @@ enum MorselAux {
     /// data).
     None,
     /// The semi-join build set.
-    Set(HashSet<u64>),
+    Set(KeySet),
     /// The project data column, morphed to a random-access format.
     Morphed(Column),
 }
@@ -869,7 +870,7 @@ where
     let aux = match op {
         MorselOp::SemiJoin { build, .. } => {
             let build = slots(build.node).column(build.port);
-            MorselAux::Set(partitioned::build_semi_join_set(build))
+            MorselAux::Set(KeySet::build(build))
         }
         MorselOp::Project { data, .. } => {
             let data = slots(data.node).column(data.port);
